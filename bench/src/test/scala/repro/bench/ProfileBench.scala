@@ -1,10 +1,16 @@
-package repro
+package repro.bench
 
+import repro.SparkSpec
 import repro.data.{OpenDataSim, SynthJoin}
 import repro.experiments.Experiments
 import repro.experiments.Experiments.{GoldenMatching, NGramMatching, Scale}
 
-class DebugSpec extends SparkSpec {
+/** Calibration profile, not a check: times the costliest discovery cells
+  * (Synth-500L golden, Open data under n-gram and golden matching) and prints
+  * their pruning counters and coverages. Run with
+  * `sbt "bench/testOnly repro.bench.ProfileBench"`.
+  */
+class ProfileBench extends SparkSpec {
   val scale = Scale(runAutoJoin = false)
   def time[A](tag: String)(f: => A): A = {
     val t0 = System.nanoTime(); val r = f

@@ -1,22 +1,30 @@
 package repro.core
 
-import scala.collection.mutable
-
-/** Coverage computation with the paper's eager unit-level filtering
-  * (§4.1.5).
+/** Coverage computation with the paper's unit-level filtering (§4.1.5),
+  * computed in full ahead of time as a unit index.
   *
-  * For every row we maintain a hash set of units already proven unable to
-  * participate in any transformation covering that row (the unit is undefined
-  * on the source, or its output is not a substring of the target). Before a
-  * transformation is applied to a row, its units are probed against the
-  * row's set in O(1); a hit skips the application entirely. Because the
-  * candidate set is a Cartesian product of units, the same units recur across
-  * many transformations and the filter absorbs the bulk of the work.
+  * Call a unit *good* on a row when it is defined on the row's source and its
+  * output is a substring of the row's target. A transformation can cover a
+  * row only if every one of its units is good there, so the index holds, for
+  * each distinct unit, a bitset over rows marking where it is good, plus the
+  * unit's output on each of those rows. Coverage of a transformation is the
+  * AND of its units' bitsets, followed by an exact check on the surviving
+  * rows: the stored outputs, concatenated in order, must equal the target.
+  * No unit is applied to a row more than once. Distinct units number in the
+  * thousands while distinct transformations (Cartesian products of units)
+  * number in the hundreds of thousands, so the index absorbs the bulk of the
+  * work.
+  *
+  * This is the only coverage kernel: the local and Spark discovery paths and
+  * the Auto-Join baseline all count through it.
   */
 object Coverage {
 
-  /** Cache counters: a `hit` is a (transformation × row) application skipped
-    * by the non-covering-unit filter; a `miss` is a full application.
+  /** Application counters over transformation × row pairs: a `hit` is an
+    * application filtered by the unit index (some unit of the transformation
+    * is not good on the row), a `miss` is a row that survived the filter and
+    * was verified exactly. `hits + misses` is always transformations × rows,
+    * and the hit ratio is 1 − verified / (T·R).
     */
   final case class CacheStats(hits: Long, misses: Long) {
     def +(o: CacheStats): CacheStats = CacheStats(hits + o.hits, misses + o.misses)
@@ -24,85 +32,116 @@ object Coverage {
   }
   object CacheStats { val zero: CacheStats = CacheStats(0L, 0L) }
 
-  /** Per-input-row state reused across all transformations: the source and
-    * target strings plus the growing set of known non-covering units.
-    */
-  final class RowState(val src: String, val tgt: String) {
-    val nonCovering: mutable.HashSet[TransformationUnit] = mutable.HashSet.empty
-  }
+  /** One input row. */
+  final case class RowState(src: String, tgt: String)
 
   def rowStates(pairs: Seq[(String, String)]): Array[RowState] =
-    pairs.iterator.map { case (s, t) => new RowState(s, t) }.toArray
+    pairs.iterator.map { case (s, t) => RowState(s, t) }.toArray
 
-  /** Applies `t` to one row, updating the row's non-covering cache. Returns
-    * (skippedByCache, covers).
+  /** The unit index over a fixed array of rows, filled in as units are first
+    * seen. Not thread-safe.
     */
-  def applyToRow(t: Transformation, row: RowState): (Boolean, Boolean) = {
-    val units = t.units
-    var k = 0
-    while (k < units.length) {
-      if (row.nonCovering.contains(units(k))) return (true, false)
-      k += 1
-    }
-    // Full application with eager per-unit filtering: any unit whose output
-    // is not a substring of the target is recorded for future probes.
-    var covered = true
-    val sb      = new StringBuilder
-    k = 0
-    while (k < units.length) {
-      units(k)(row.src) match {
-        case Some(out) =>
-          if (covered) sb.append(out)
-          if (!row.tgt.contains(out)) { row.nonCovering += units(k); covered = false }
-        case None =>
-          row.nonCovering += units(k)
-          covered = false
+  private final class UnitIndex(rows: Array[RowState]) {
+    private val n     = rows.length
+    private val words = (n + 63) >>> 6
+    private val tgts  = rows.map(_.tgt)
+    // Every row: all bits set, except those past row n in the last word.
+    private val all =
+      Array.tabulate(words)(w => if (w < words - 1 || (n & 63) == 0) -1L else (1L << (n & 63)) - 1L)
+
+    /** A unit's good-row bitset and its output on each good row. */
+    private final class Entry(val good: Array[Long], val out: Array[String])
+    private val entries = new java.util.HashMap[TransformationUnit, Entry]
+
+    /** Rows that survived the bitset AND and were checked exactly. */
+    var verified = 0L
+
+    private def entry(u: TransformationUnit): Entry = {
+      val known = entries.get(u)
+      if (known != null) known
+      else {
+        val e = new Entry(new Array[Long](words), new Array[String](n))
+        var r = 0
+        while (r < n) {
+          u(rows(r).src) match {
+            case Some(o) if tgts(r).contains(o) =>
+              e.good(r >>> 6) |= 1L << (r & 63)
+              e.out(r) = o
+            case _ =>
+          }
+          r += 1
+        }
+        entries.put(u, e)
+        e
       }
-      k += 1
     }
-    (false, covered && sb.toString == row.tgt)
+
+    /** The rows `t` covers, in ascending order, passed to `visit`; returns
+      * how many there were.
+      */
+    def covered(t: Transformation, visit: Int => Unit): Int = {
+      val k  = t.units.length
+      val es = new Array[Entry](k)
+      var i  = 0
+      while (i < k) { es(i) = entry(t.units(i)); i += 1 }
+      var count = 0
+      var w     = 0
+      while (w < words) {
+        var m = all(w)
+        i = 0
+        while (i < k && m != 0L) { m &= es(i).good(w); i += 1 }
+        while (m != 0L) {
+          val r   = (w << 6) + java.lang.Long.numberOfTrailingZeros(m)
+          val tgt = tgts(r)
+          var off = 0
+          i = 0
+          while (i < k && off >= 0) {
+            val o = es(i).out(r)
+            off = if (tgt.startsWith(o, off)) off + o.length else -1
+            i += 1
+          }
+          verified += 1
+          if (off == tgt.length) { count += 1; visit(r) }
+          m &= m - 1
+        }
+        w += 1
+      }
+      count
+    }
   }
 
-  /** Pass 1: coverage *counts* for every transformation (O(1) memory per
-    * transformation), plus cache statistics.
+  private val ignore: Int => Unit = _ => ()
+
+  /** Pass 1: coverage *counts* for every transformation, plus the
+    * application counters.
     */
   def counts(
       transformations: IndexedSeq[Transformation],
       rows: Array[RowState],
   ): (Array[Int], CacheStats) = {
-    val cov    = new Array[Int](transformations.length)
-    var hits   = 0L
-    var misses = 0L
-    var ti     = 0
+    val index = new UnitIndex(rows)
+    val cov   = new Array[Int](transformations.length)
+    var ti    = 0
     while (ti < transformations.length) {
-      val t = transformations(ti)
-      var ri = 0
-      while (ri < rows.length) {
-        val (skipped, covers) = applyToRow(t, rows(ri))
-        if (skipped) hits += 1L else misses += 1L
-        if (covers) cov(ti) += 1
-        ri += 1
-      }
+      cov(ti) = index.covered(transformations(ti), ignore)
       ti += 1
     }
-    (cov, CacheStats(hits, misses))
+    val applications = transformations.length.toLong * rows.length
+    (cov, CacheStats(applications - index.verified, index.verified))
   }
 
   /** Pass 2: exact covered-row index sets for a *small* shortlist of
-    * transformations (the greedy set-cover input). Reuses the warmed row
-    * caches from pass 1.
+    * transformations (the greedy set-cover input).
     */
   def coveredRows(
       shortlist: IndexedSeq[Transformation],
       rows: Array[RowState],
-  ): Vector[(Transformation, Array[Int])] =
+  ): Vector[(Transformation, Array[Int])] = {
+    val index = new UnitIndex(rows)
     shortlist.iterator.map { t =>
       val covered = Array.newBuilder[Int]
-      var ri = 0
-      while (ri < rows.length) {
-        if (applyToRow(t, rows(ri))._2) covered += ri
-        ri += 1
-      }
+      index.covered(t, covered += _)
       (t, covered.result())
     }.toVector
+  }
 }

@@ -4,7 +4,7 @@ import repro.core.TransformationGen.GenConfig
 
 /** End-to-end transformation discovery (the paper's core algorithm, §4.1):
   * placeholders → skeletons → candidate generation (with hash-set dedup) →
-  * coverage (with the non-covering-unit cache) → max-coverage transformation
+  * coverage (through the unit index of [[Coverage]]) → max-coverage transformation
   * and greedy minimal cover set.
   */
 object Discovery {
@@ -23,7 +23,11 @@ object Discovery {
       shortlistSize: Int = 2000,
   ) extends Serializable
 
-  /** The pruning counters reported in the paper's Table 3. */
+  /** The pruning counters reported in the paper's Table 3. `cacheHits`
+    * counts transformation × row applications filtered by the unit index of
+    * [[Coverage]]; `cacheMisses` counts the rows that survived the filter and
+    * were verified exactly (see [[Coverage.CacheStats]]).
+    */
   final case class PruningStats(
       generated: Long,
       toTry: Long,
@@ -76,10 +80,37 @@ object Discovery {
     )
   }
 
+  /** A ranked transformation with its sort key: coverage count descending,
+    * then fewer placeholders, then `render`, then `order` (the position the
+    * transformation was first generated at, which keeps ties as a stable
+    * sort over generation order would). `render` is computed at most once,
+    * and only when the numeric keys tie.
+    */
+  private[repro] final class Ranked(val t: Transformation, val count: Int, val order: Long) {
+    val placeholders: Int     = t.placeholderCount
+    lazy val rendered: String = t.render
+  }
+
+  private[repro] val rankOrder: java.util.Comparator[Ranked] = (a, b) =>
+    if (a.count != b.count) Integer.compare(b.count, a.count)
+    else if (a.placeholders != b.placeholders) Integer.compare(a.placeholders, b.placeholders)
+    else {
+      val c = a.rendered.compareTo(b.rendered)
+      if (c != 0) c else java.lang.Long.compare(a.order, b.order)
+    }
+
+  /** The first `k` of `rs` in rank order. */
+  private[repro] def best(rs: Iterator[Ranked], k: Int): Vector[Ranked] = {
+    val arr = rs.toArray
+    java.util.Arrays.sort(arr, rankOrder)
+    arr.iterator.take(k).toVector
+  }
+
   /** Shared tail of the local and distributed paths. `ranked` holds every
-    * non-constant transformation with coverage count >= 1 (any order):
-    * shortlist by count, recompute exact covered-row sets for the shortlist,
-    * pick the top transformation and the greedy cover.
+    * non-constant transformation with coverage count >= 1, in generation
+    * order (ties in the ranking go to the earlier one): shortlist by count,
+    * recompute exact covered-row sets for the shortlist, pick the top
+    * transformation and the greedy cover.
     */
   private[repro] def finish(
       nRows: Int,
@@ -92,15 +123,16 @@ object Discovery {
   ): DiscoveryResult = {
     val supportFloor =
       math.max(cfg.minSupportRows, math.ceil(cfg.supportThreshold * nRows).toInt)
-    val ordered =
-      ranked.sortBy { case (t, c) => (-c, t.placeholderCount, t.render) }
-    val shortlistTs =
-      ordered.filter(_._2 >= supportFloor).take(cfg.shortlistSize).map(_._1)
-    val shortlist = Coverage.coveredRows(shortlistTs, rows)
-    val cover     = CoverSet.greedy(shortlist, nRows, supportFloor)
+    val keyed = ranked.iterator.zipWithIndex.map { case ((t, c), i) => new Ranked(t, c, i.toLong) }.toArray
     // The single best transformation is reported even when it falls below the
     // cover-set support floor (it is still the max-coverage answer).
-    val top = ordered.headOption
+    val top = keyed
+      .reduceOption((a, b) => if (rankOrder.compare(b, a) < 0) b else a)
+      .map(b => (b.t, b.count))
+    val shortlistTs =
+      best(keyed.iterator.filter(_.count >= supportFloor), cfg.shortlistSize).map(_.t)
+    val shortlist = Coverage.coveredRows(shortlistTs, rows)
+    val cover     = CoverSet.greedy(shortlist, nRows, supportFloor)
     DiscoveryResult(
       nRows = nRows,
       top = top,

@@ -2,23 +2,23 @@ package repro.sparkjoin
 
 import org.apache.spark.sql.SparkSession
 import repro.core._
-import repro.core.Discovery.{DiscoveryConfig, DiscoveryResult, PruningStats}
+import repro.core.Discovery.{DiscoveryConfig, DiscoveryResult, PruningStats, Ranked}
 
 /** Distributed transformation discovery.
   *
-  * The same algorithm as [[repro.core.Discovery.discover]], parallelized for
-  * inputs whose candidate space reaches into the millions (paper Table 3):
+  * The same algorithm as [[repro.core.Discovery.discover]], split over the
+  * space of transformations in one stage with no shuffle. Task `p` of `P`
+  * regenerates the candidates of every row from the broadcast pairs and keeps
+  * only the transformations whose `floorMod(hashCode, P) == p`; the slices
+  * are disjoint, so deduplicating within a task is global deduplication. The
+  * task then counts its slice's coverage with the same unit-index kernel as
+  * the local path ([[Coverage.counts]]) and returns only its top
+  * `shortlistSize` by the ranking of [[Discovery.finish]], which shares the
+  * shortlist/cover tail with the local path.
   *
-  *   - *generation* fans out over row pairs (`mapPartitions`), with a
-  *     per-partition hash set giving partial duplicate removal before the
-  *     shuffle; global dedup is an RDD `distinct` on the structural key;
-  *   - *coverage* fans out over transformations: each partition holds its own
-  *     [[Coverage.RowState]] array (the non-covering-unit caches) over the
-  *     broadcast input rows, preserving the paper's unit-level pruning within
-  *     every partition;
-  *   - the shortlist/cover tail is shared with the local path.
-  *
-  * Counters (generated, cache hits/misses) flow through Spark accumulators.
+  * The counters (generated, to try, and the unit-index hits — applications
+  * filtered by the index — and misses — rows verified) flow through
+  * accumulators and equal the local path's for any number of slices.
   */
 object SparkDiscovery {
 
@@ -32,70 +32,64 @@ object SparkDiscovery {
     if (pairs.isEmpty)
       return DiscoveryResult(0, None, Vector.empty, PruningStats(0, 0, 0, 0), 0)
 
-    val sc     = spark.sparkContext
-    val slices = if (numSlices > 0) numSlices else sc.defaultParallelism
-    val bcRows = sc.broadcast(pairs.toVector)
-    val genCfg = cfg.gen
+    val sc        = spark.sparkContext
+    val slices    = if (numSlices > 0) numSlices else sc.defaultParallelism
+    val bcRows    = sc.broadcast(pairs.toVector)
+    val genCfg    = cfg.gen
+    val shortlist = math.max(1, cfg.shortlistSize)
 
     val generatedAcc = sc.longAccumulator("generatedTransformations")
-    val hitsAcc      = sc.longAccumulator("cacheHits")
-    val missesAcc    = sc.longAccumulator("cacheMisses")
+    val toTryAcc     = sc.longAccumulator("distinctTransformations")
+    val hitsAcc      = sc.longAccumulator("indexFiltered")
+    val missesAcc    = sc.longAccumulator("rowsVerified")
 
-    // Stage 1: per-row candidate generation with partition-local dedup.
-    val distinctRdd = sc
-      .parallelize(pairs.toVector, math.min(slices, math.max(1, pairs.size)))
-      .mapPartitions { it =>
-        val seen = scala.collection.mutable.HashSet.empty[Transformation]
-        var gen  = 0L
-        for ((s, t) <- it)
-          gen += TransformationGen.forRow(s, t, genCfg)(tr => { seen.add(tr); () }).generated
-        generatedAcc.add(gen)
-        seen.iterator
-      }
-      .distinct()
-      .cache()
-    val toTry = distinctRdd.count()
+    try {
+      val tops = sc
+        .parallelize(0 until slices, slices)
+        .mapPartitions(_.flatMap { p =>
+          val rowPairs = bcRows.value
+          // Each distinct transformation of this slice, with the position it
+          // was first generated at across all rows.
+          val seen      = scala.collection.mutable.LinkedHashMap.empty[Transformation, Long]
+          var position  = 0L
+          var generated = 0L
+          for ((s, t) <- rowPairs)
+            TransformationGen.forRow(s, t, genCfg) { tr =>
+              if (Math.floorMod(tr.hashCode, slices) == p) {
+                generated += 1
+                if (!seen.contains(tr)) seen.update(tr, position)
+              }
+              position += 1
+            }
+          val slice           = seen.keys.toVector
+          val order           = seen.values.toArray
+          val (counts, cache) = Coverage.counts(slice, Coverage.rowStates(rowPairs))
+          generatedAcc.add(generated)
+          toTryAcc.add(slice.size.toLong)
+          hitsAcc.add(cache.hits)
+          missesAcc.add(cache.misses)
+          val ranked = slice.indices.iterator
+            .filter(i => counts(i) >= 1 && !slice(i).isConstant)
+            .map(i => new Ranked(slice(i), counts(i), order(i)))
+          Discovery.best(ranked, shortlist).map(r => (r.t, r.count, r.order))
+        })
+        .collect()
 
-    // Stage 2: coverage counts, partitioned over transformations; every
-    // partition keeps its own per-row non-covering-unit caches.
-    val ranked = distinctRdd
-      .mapPartitions { ts =>
-        val rows = Coverage.rowStates(bcRows.value)
-        var hits = 0L
-        var misses = 0L
-        val out = ts.map { t =>
-          var cov = 0
-          var ri  = 0
-          while (ri < rows.length) {
-            val (skipped, covers) = Coverage.applyToRow(t, rows(ri))
-            if (skipped) hits += 1L else misses += 1L
-            if (covers) cov += 1
-            ri += 1
-          }
-          (t, cov)
-        }.toVector
-        hitsAcc.add(hits); missesAcc.add(misses)
-        out.iterator
-      }
-      .filter { case (t, c) => c >= 1 && !t.isConstant }
-      // The driver only needs the shortlist: top transformations by coverage
-      // (ties: shorter, then lexicographic — same order as the local path).
-      .takeOrdered(cfg.shortlistSize)(
-        Ordering.by { case (t, c) => (-c, t.placeholderCount, t.render) }
+      // Only the shortlist is needed: the global top by the same ranking,
+      // handed to `finish` in rank order so its ties fall the same way as on
+      // the local path.
+      val ranked = Discovery
+        .best(tops.iterator.map { case (t, c, o) => new Ranked(t, c, o) }, shortlist)
+        .map(r => (r.t, r.count))
+      Discovery.finish(
+        pairs.size,
+        ranked,
+        Coverage.CacheStats(hitsAcc.value, missesAcc.value),
+        Coverage.rowStates(pairs),
+        PruningStats(generatedAcc.value, toTryAcc.value, hitsAcc.value, missesAcc.value),
+        cfg,
+        t0,
       )
-      .toVector
-    distinctRdd.unpersist(blocking = false)
-
-    val rows       = Coverage.rowStates(pairs)
-    val cacheStats = Coverage.CacheStats(hitsAcc.value, missesAcc.value)
-    Discovery.finish(
-      pairs.size,
-      ranked,
-      cacheStats,
-      rows,
-      PruningStats(generatedAcc.value, toTry, cacheStats.hits, cacheStats.misses),
-      cfg,
-      t0,
-    )
+    } finally bcRows.destroy()
   }
 }

@@ -56,6 +56,30 @@ class SparkDiscoverySpec extends SparkSpec {
     assert(res.nRows == 0 && res.top.isEmpty && res.coverSet.isEmpty)
   }
 
+  // The Spark path splits the transformation space into `numSlices` hash
+  // slices; every split must reproduce the local result exactly, counters
+  // included.
+  private val splitInputs = Vector(
+    "name pairs" -> pairs,
+    "Synth-30"   -> SynthJoin.synth(30, seed = 4L).goldPairStrings,
+    "Synth-30L"  -> SynthJoin.synthL(30, seed = 4L).goldPairStrings,
+  )
+  for ((name, input) <- splitInputs) {
+    test(s"partition split: $name equals the local path for 1, 3 and 8 slices") {
+      val local = Discovery.discover(input)
+      for (n <- Seq(1, 3, 8)) {
+        val dist = SparkDiscovery.discover(spark, input, numSlices = n)
+        assert(dist.top == local.top, s"slices=$n")
+        assert(
+          dist.coverSet.map(c => (c.t, c.covered.toSeq, c.marginalGain)) ==
+            local.coverSet.map(c => (c.t, c.covered.toSeq, c.marginalGain)),
+          s"slices=$n",
+        )
+        assert(dist.stats == local.stats, s"slices=$n")
+      }
+    }
+  }
+
   test("single-slice and many-slice runs agree") {
     val a = SparkDiscovery.discover(spark, pairs, numSlices = 1)
     val b = SparkDiscovery.discover(spark, pairs, numSlices = 8)
